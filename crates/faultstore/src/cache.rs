@@ -35,9 +35,10 @@ use crate::{io_err, StoreError};
 /// [`FaultMapCache`] — cache hits do not count.
 static SCANS: AtomicU64 = AtomicU64::new(0);
 
-/// How many cache lookups fell through to a real scan in this process.
-/// Mirrors [`simos::compile_count`]: lets tests assert that a second scan of
-/// an unchanged edition was served from the cache.
+/// How many cache lookups fell through to a real scan in this process,
+/// across every cache. Mirrors [`simos::compile_count`]. The count is
+/// process-global, so concurrent scans elsewhere move it; assertions about
+/// one cache should read [`FaultMapCache::scans`] instead.
 pub fn scan_count() -> u64 {
     SCANS.load(Ordering::Relaxed)
 }
@@ -87,6 +88,8 @@ impl CacheKey {
 pub struct FaultMapCache {
     dir: PathBuf,
     ctx: Arc<StoreCtx>,
+    /// Misses of this cache and its clones.
+    scans: Arc<AtomicU64>,
 }
 
 impl FaultMapCache {
@@ -107,12 +110,23 @@ impl FaultMapCache {
     ) -> Result<FaultMapCache, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        Ok(FaultMapCache { dir, ctx })
+        Ok(FaultMapCache {
+            dir,
+            ctx,
+            scans: Arc::default(),
+        })
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// How many lookups through this cache (or a clone of it) fell through
+    /// to a real scan — cache hits do not count. Unlike [`scan_count`],
+    /// scans through other caches never move it.
+    pub fn scans(&self) -> u64 {
+        self.scans.load(Ordering::Relaxed)
     }
 
     /// [`Scanner::scan_image`] through the cache.
@@ -154,6 +168,7 @@ impl FaultMapCache {
             return Ok(hit);
         }
         SCANS.fetch_add(1, Ordering::Relaxed);
+        self.scans.fetch_add(1, Ordering::Relaxed);
         let faultload = match funcs {
             Some(fs) => scanner.scan_functions(image, fs),
             None => scanner.scan_image(image),
@@ -244,11 +259,10 @@ mod tests {
         let dir = tmpdir("hit");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         let a = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 1, "first scan is a miss");
+        assert_eq!(cache.scans(), 1, "first scan is a miss");
         let b = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 1, "second scan served from cache");
+        assert_eq!(cache.scans(), 1, "second scan served from cache");
         assert_eq!(a, b);
         assert_eq!(a, Scanner::standard().scan_image(p.image()));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -260,23 +274,18 @@ mod tests {
         let dir = tmpdir("ops");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         let single = Scanner::builder()
             .operator(Box::new(MifsOp))
             .build()
             .unwrap();
         let narrowed = cache.scan_image(&single, p.image()).unwrap();
-        assert_eq!(
-            scan_count(),
-            before + 2,
-            "different operator library must rescan"
-        );
+        assert_eq!(cache.scans(), 2, "different operator library must rescan");
         assert!(narrowed.len() < Scanner::standard().scan_image(p.image()).len());
         // And each library now hits its own entry.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         cache.scan_image(&single, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scans(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -286,22 +295,21 @@ mod tests {
         let cache = FaultMapCache::open(&dir).unwrap();
         let p1 = compile("os", SRC).unwrap();
         let p2 = compile("os", OTHER_SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p1.image()).unwrap();
         cache.scan_image(&Scanner::standard(), p2.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "different image must rescan");
+        assert_eq!(cache.scans(), 2, "different image must rescan");
         let filter = vec!["alpha".to_string()];
         let restricted = cache
             .scan_functions(&Scanner::standard(), p1.image(), &filter)
             .unwrap();
-        assert_eq!(scan_count(), before + 3, "filtered scan is its own entry");
+        assert_eq!(cache.scans(), 3, "filtered scan is its own entry");
         assert!(restricted.faults.iter().all(|f| f.func == "alpha"));
         // Filter order does not matter: sorted-set hashing.
         let shuffled = vec!["alpha".to_string(), "alpha".to_string()];
         cache
             .scan_functions(&Scanner::standard(), p1.image(), &shuffled)
             .unwrap();
-        assert_eq!(scan_count(), before + 3, "same filter set hits");
+        assert_eq!(cache.scans(), 3, "same filter set hits");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -313,7 +321,6 @@ mod tests {
         let dir = tmpdir("packedit");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         let mut edited = swfit_core::pack::classic().clone();
         edited.operators[0].note.push('!');
@@ -323,11 +330,11 @@ mod tests {
         assert_ne!(key_a.pack_set, key_b.pack_set);
         assert_ne!(key_a.file_name(), key_b.file_name());
         cache.scan_image(&edited_scanner, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "edited pack content must rescan");
+        assert_eq!(cache.scans(), 2, "edited pack content must rescan");
         // Both entries now hit independently.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         cache.scan_image(&edited_scanner, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scans(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -337,15 +344,41 @@ mod tests {
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
         let key = CacheKey::new(p.image(), &Scanner::standard(), None);
-        let before = scan_count();
         let clean = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         std::fs::write(dir.join(key.file_name()), b"{ not json").unwrap();
         let healed = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "corrupt entry forces a rescan");
+        assert_eq!(cache.scans(), 2, "corrupt entry forces a rescan");
         assert_eq!(clean, healed);
         // The rewrite is valid again.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scans(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_counts_are_per_cache() {
+        let (dir_a, dir_b) = (tmpdir("count-a"), tmpdir("count-b"));
+        let a = FaultMapCache::open(&dir_a).unwrap();
+        let b = FaultMapCache::open(&dir_b).unwrap();
+        let p = compile("os", SRC).unwrap();
+        let global = scan_count();
+        a.scan_image(&Scanner::standard(), p.image()).unwrap();
+        a.clone()
+            .scan_image(
+                &Scanner::builder()
+                    .operator(Box::new(swfit_core::operators::MifsOp))
+                    .build()
+                    .unwrap(),
+                p.image(),
+            )
+            .unwrap();
+        assert_eq!(a.scans(), 2, "a clone counts into the same cache");
+        assert_eq!(b.scans(), 0, "another cache's scans never move this one");
+        assert!(
+            scan_count() >= global + 2,
+            "the process-wide count still moves"
+        );
+        std::fs::remove_dir_all(&dir_a).unwrap();
+        std::fs::remove_dir_all(&dir_b).unwrap();
     }
 }

@@ -12,17 +12,8 @@ use std::fmt;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::entry::{self, Entry};
 use crate::isa::{DecodeError, Instr};
-
-/// One pre-decoded cache slot: the decoded instruction, or the decode
-/// failure the executor must raise when the slot is reached. The cache
-/// invariant is `ops[a] == Instr::decode(words[a])` at all times.
-pub(crate) type DecodedOp = Result<Instr, DecodeError>;
-
-/// Decodes every word — the cache's ground truth.
-fn decode_all(words: &[u64]) -> Vec<DecodedOp> {
-    words.iter().map(|&w| Instr::decode(w)).collect()
-}
 
 /// Metadata for one linked function.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,12 +105,14 @@ impl std::error::Error for ImageError {}
 
 /// An executable image: encoded words plus function symbols.
 ///
-/// Every image carries a pre-decoded instruction cache: decoding happens
-/// once at link/patch/deserialize time, and the VM executes straight from
-/// the cache instead of re-decoding a word on every step. [`CodeImage::apply`]
-/// and [`CodeImage::revert`] invalidate exactly the patched entries — the
-/// paper's step 2 ("cheap mutation of a pre-computed location") maps onto
-/// re-decoding a handful of cache slots.
+/// Every image carries a pre-decoded execution cache, one 8-byte entry per
+/// word (see the `entry` module): decoding and pair fusion happen once at
+/// link/patch/deserialize time, and the VM executes straight from the cache
+/// instead of re-decoding a word on every step. An entry depends only on
+/// its own word and the next one, so [`CodeImage::apply`] and
+/// [`CodeImage::revert`] re-derive exactly entries `p - 1` and `p` for a
+/// patched word `p` — the paper's step 2 ("cheap mutation of a
+/// pre-computed location") maps onto re-deriving a handful of entries.
 ///
 /// The cache is derived state: equality, serialization and the
 /// [`fingerprint`](CodeImage::fingerprint) all ignore it, so serialized
@@ -130,13 +123,13 @@ pub struct CodeImage {
     words: Vec<u64>,
     funcs: Vec<FuncInfo>,
     by_name: BTreeMap<String, usize>,
-    /// Invariant: `ops[a] == Instr::decode(words[a])` for every address.
-    ops: Vec<DecodedOp>,
+    /// Invariant: `entries == entry::build_all(&words)` at all times.
+    entries: Vec<Entry>,
 }
 
 impl PartialEq for CodeImage {
     fn eq(&self, other: &CodeImage) -> bool {
-        // The ops cache is derived from `words`; comparing it would be
+        // The entry cache is derived from `words`; comparing it would be
         // redundant (and would make a cache bug change equality semantics).
         self.name == other.name
             && self.words == other.words
@@ -149,7 +142,7 @@ impl Eq for CodeImage {}
 
 impl Serialize for CodeImage {
     fn to_value(&self) -> Value {
-        // Field-for-field what the derive produced before the ops cache
+        // Field-for-field what the derive produced before the entry cache
         // existed — serialized images must stay byte-identical.
         Value::Object(vec![
             ("name".to_string(), self.name.to_value()),
@@ -167,13 +160,13 @@ impl Deserialize for CodeImage {
                 .ok_or_else(|| DeError::msg(format!("missing field `{k}` in CodeImage")))
         };
         let words = Vec::<u64>::from_value(field("words")?)?;
-        let ops = decode_all(&words);
+        let entries = entry::build_all(&words);
         Ok(CodeImage {
             name: String::from_value(field("name")?)?,
             funcs: Vec::<FuncInfo>::from_value(field("funcs")?)?,
             by_name: BTreeMap::<String, usize>::from_value(field("by_name")?)?,
             words,
-            ops,
+            entries,
         })
     }
 }
@@ -201,13 +194,13 @@ impl CodeImage {
                 return Err(ImageError::DuplicateSymbol(func.name.clone()));
             }
         }
-        let ops = decode_all(&words);
+        let entries = entry::build_all(&words);
         Ok(CodeImage {
             name: name.into(),
             words,
             funcs,
             by_name,
-            ops,
+            entries,
         })
     }
 
@@ -278,17 +271,26 @@ impl CodeImage {
     /// Returns [`ImageError::AddressOutOfRange`] or a decode failure (which
     /// can only happen on a corrupted/patched image).
     pub fn instr_at(&self, addr: u32) -> Result<Instr, ImageError> {
-        match self.ops.get(addr as usize) {
-            Some(Ok(i)) => Ok(*i),
-            Some(Err(e)) => Err(ImageError::Decode(addr, *e)),
-            None => Err(ImageError::AddressOutOfRange(addr)),
-        }
+        let e = self
+            .entries
+            .get(addr as usize)
+            .ok_or(ImageError::AddressOutOfRange(addr))?;
+        e.instr().ok_or_else(|| {
+            let err = Instr::decode(self.words[addr as usize])
+                .expect_err("a bad-word entry caches an undecodable word");
+            ImageError::Decode(addr, err)
+        })
     }
 
-    /// The pre-decoded execution cache, indexed by address — the VM's
-    /// dispatch table.
-    pub(crate) fn ops(&self) -> &[DecodedOp] {
-        &self.ops
+    /// The execution cache, indexed by address — the VM's dispatch table.
+    pub(crate) fn entries(&self) -> &[Entry] {
+        &self.entries
+    }
+
+    /// Overwrites word `p` and re-derives the entries that read it.
+    fn set_word(&mut self, p: usize, word: u64) {
+        self.words[p] = word;
+        entry::rederive(&mut self.entries, p, word);
     }
 
     /// Decodes an address range (used by scanners). Fails on the first
@@ -314,20 +316,17 @@ impl CodeImage {
         let mut entries = Vec::with_capacity(patches.len());
         for p in patches {
             entries.push((p.addr, self.words[p.addr as usize]));
-            self.words[p.addr as usize] = p.new_word;
-            // Invalidate exactly the patched cache entry.
-            self.ops[p.addr as usize] = Instr::decode(p.new_word);
+            self.set_word(p.addr as usize, p.new_word);
         }
         Ok(PatchSet { entries })
     }
 
     /// Restores the words recorded in `undo` (reverse order, so overlapping
-    /// patch sets unwind correctly), re-decoding exactly the restored cache
-    /// entries.
+    /// patch sets unwind correctly), re-deriving exactly the cache entries
+    /// that read a restored word.
     pub fn revert(&mut self, undo: &PatchSet) {
         for &(addr, old) in undo.entries.iter().rev() {
-            self.words[addr as usize] = old;
-            self.ops[addr as usize] = Instr::decode(old);
+            self.set_word(addr as usize, old);
         }
     }
 
@@ -356,12 +355,12 @@ mod tests {
     use crate::isa::{Opcode, Reg};
     use proptest::prelude::*;
 
-    /// Asserts the cache invariant: every slot matches a fresh decode.
+    /// Asserts the cache invariant: every entry matches a fresh build.
     fn assert_cache_coherent(img: &CodeImage) {
         assert_eq!(
-            img.ops,
-            decode_all(img.words()),
-            "ops cache diverged from a fresh decode of the words"
+            img.entries,
+            entry::build_all(img.words()),
+            "entry cache diverged from a fresh build from the words"
         );
     }
 
@@ -579,34 +578,105 @@ mod tests {
         );
     }
 
-    /// A batch of in-range patches; words are arbitrary, so batches mix
-    /// valid instructions with undecodable garbage.
+    /// A word that is either arbitrary (almost always undecodable) or a
+    /// valid instruction whose opcode takes part in fused pairs, so patches
+    /// both create and break superinstructions.
+    fn arb_word() -> impl Strategy<Value = u64> {
+        let r = || (0u8..32).prop_map(|i| Reg::new(i).unwrap());
+        prop_oneof![
+            any::<u64>(),
+            (r(), r(), -8i32..8).prop_map(|(d, b, o)| Instr::ld(d, b, o).encode()),
+            (r(), r(), -8i32..8).prop_map(|(b, s, o)| Instr::store(b, o, s).encode()),
+            (r(), -8i32..8).prop_map(|(d, i)| Instr::ldi(d, i).encode()),
+            (r(), r(), r()).prop_map(|(d, a, b)| Instr::alu3(Opcode::Add, d, a, b).encode()),
+            (r(), r(), r()).prop_map(|(d, a, b)| Instr::alu3(Opcode::Cmplt, d, a, b).encode()),
+            (r(), 0u32..8).prop_map(|(c, t)| Instr::beqz(c, t).encode()),
+            (0u32..8).prop_map(|t| Instr::jmp(t).encode()),
+            Just(Instr::ret().encode()),
+        ]
+    }
+
+    /// A batch of in-range patches mixing valid instructions with
+    /// undecodable garbage.
     fn arb_patch_batch(image_len: u32) -> impl Strategy<Value = Vec<Patch>> {
         proptest::collection::vec(
-            (0..image_len, any::<u64>()).prop_map(|(addr, new_word)| Patch { addr, new_word }),
+            (0..image_len, arb_word()).prop_map(|(addr, new_word)| Patch { addr, new_word }),
             1..5,
         )
     }
 
+    /// Eight words holding the fused pairs ld·ldi, ldi·add, add·st, st·jmp
+    /// and cmplt·beqz.
+    fn pairs_image() -> CodeImage {
+        let instrs = vec![
+            Instr::ld(Reg::T0, Reg::A0, 0),
+            Instr::ldi(Reg::RV, 1),
+            Instr::alu3(Opcode::Add, Reg::RV, Reg::RV, Reg::T0),
+            Instr::store(Reg::A0, 1, Reg::RV),
+            Instr::jmp(5),
+            Instr::alu3(Opcode::Cmplt, Reg::T0, Reg::RV, Reg::A0),
+            Instr::beqz(Reg::T0, 7),
+            Instr::ret(),
+        ];
+        let funcs = vec![FuncInfo {
+            name: "f".into(),
+            entry: 0,
+            end: 8,
+        }];
+        CodeImage::link("pairs", &instrs, funcs).unwrap()
+    }
+
+    /// The cache equals a fresh build, and every address serves the same
+    /// instruction (or decode failure) a fresh decode of its word gives.
+    fn coherent(img: &CodeImage) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&img.entries, &entry::build_all(img.words()));
+        for (a, &w) in img.words().iter().enumerate() {
+            let fresh = Instr::decode(w).map_err(|e| ImageError::Decode(a as u32, e));
+            prop_assert_eq!(img.instr_at(a as u32), fresh);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn pairs_image_fuses_its_hot_pairs() {
+        use crate::entry::Kind;
+        let kinds: Vec<Kind> = pairs_image().entries.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                Kind::LdLdi,
+                Kind::LdiAdd,
+                Kind::AddSt,
+                Kind::StJmp,
+                Kind::Jmp,
+                Kind::CmpltBeqz,
+                Kind::Beqz,
+                Kind::Ret
+            ]
+        );
+    }
+
     proptest! {
-        /// Satellite 4: any sequence of `PatchSet` apply/undo operations
-        /// leaves the pre-decoded cache semantically identical to a fresh
-        /// decode — at every intermediate step, not just after full unwind.
+        /// Any sequence of `PatchSet` apply/undo operations leaves the
+        /// execution cache identical to a fresh build from the words — at
+        /// every intermediate step, not just after full unwind — whether a
+        /// patch creates a fused pair, breaks one, or corrupts a word.
         #[test]
         fn prop_patch_stack_keeps_cache_coherent(
-            batches in proptest::collection::vec(arb_patch_batch(4), 1..6),
+            batches in proptest::collection::vec(arb_patch_batch(8), 1..6),
         ) {
-            let mut img = toy_image();
+            let mut img = pairs_image();
             let pristine = img.clone();
             let mut undos = Vec::new();
             for batch in &batches {
                 undos.push(img.apply(batch).unwrap());
-                prop_assert_eq!(&img.ops, &decode_all(img.words()));
+                coherent(&img)?;
             }
             while let Some(undo) = undos.pop() {
                 img.revert(&undo);
-                prop_assert_eq!(&img.ops, &decode_all(img.words()));
+                coherent(&img)?;
             }
+            prop_assert_eq!(&img.entries, &pristine.entries);
             prop_assert_eq!(img, pristine);
         }
     }

@@ -18,6 +18,27 @@
 //! * [`vm`] — the trapping interpreter with an instruction budget (budget
 //!   exhaustion models hangs caused by injected faults).
 //!
+//! # Execution cache and superinstructions
+//!
+//! A [`CodeImage`] keeps, next to its encoded words, one 8-byte execution
+//! entry per word: a kind byte plus the word's own `rd/rs1/rs2/imm`. The
+//! kind is a plain opcode, a bad-word marker, or a *fused pair* — the word
+//! and its successor form a hot pair (`ld·ldi`, `st·ld`, `ldi·add`,
+//! compare-and-branch, …) that the dispatch loop runs in one dispatch.
+//!
+//! * **Invariant.** Entry `a` is a pure function of words `a` and `a + 1`,
+//!   so it always equals a fresh build from the words; patching word `p`
+//!   re-derives exactly entries `p - 1` and `p`. An entry's fields describe
+//!   its own word, so a jump into a pair's second word runs that word's own
+//!   entry, and [`CodeImage::instr_at`] serves every address from the cache.
+//! * **Exactness.** Fusion never shows: `executed` counts both components;
+//!   a pair runs fused only if the budget covers both, else the head runs
+//!   alone; a trap in the head reports the head and the tail (watchpoint
+//!   included) is not reached; a trap in the tail reports the tail's
+//!   address. Profiling ([`Vm::enable_profiling`]) runs the same loop with
+//!   fusion compiled out, and a differential proptest holds the two to the
+//!   same return value, count, trap, memory and watchpoint hits.
+//!
 //! # Example
 //!
 //! ```
@@ -40,6 +61,7 @@
 //! ```
 
 pub mod asm;
+mod entry;
 pub mod image;
 pub mod isa;
 pub mod mem;

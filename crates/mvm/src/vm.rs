@@ -12,8 +12,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::entry::{for_each_kind, Kind};
 use crate::image::CodeImage;
-use crate::isa::{Opcode, Reg};
+use crate::isa::Reg;
 use crate::mem::Memory;
 
 /// Abnormal termination of a VM call.
@@ -373,10 +374,27 @@ impl Vm {
     }
 }
 
-/// The dispatch loop, executing straight from the image's pre-decoded cache:
-/// fetching a slot is an index, not a decode (patches re-decode only the
-/// words they touch). `PROFILE`/`WATCH` monomorphize the per-step
-/// instrumentation away when it is off, which is the campaign hot path.
+/// The dispatch loop, executing straight from the image's execution cache:
+/// fetching an entry is an index, not a decode (patches re-derive only the
+/// entries that read the words they touch). `PROFILE`/`WATCH` monomorphize
+/// the per-step instrumentation away when it is off, which is the campaign
+/// hot path.
+///
+/// A fused entry runs its head and, in the same dispatch, its tail — with
+/// exactly the observable effects of two separate dispatches:
+///
+/// * `executed` counts both components;
+/// * the tail runs only when the budget still covers it after the head;
+///   otherwise the head runs alone and the next dispatch reaches the
+///   tail's own entry, so [`Trap::BudgetExhausted`] reports the same count;
+/// * a trap in the head reports the head's address and count, and the tail
+///   (including a watchpoint on it) is not reached; a trap in the tail
+///   reports the tail's address;
+/// * the watchpoint is tested against each component's address in turn.
+///
+/// The profiling variant compiles fusion out, so its per-address counts see
+/// every word dispatched on its own — which also makes it the unfused
+/// reference the differential tests compare the fused loop against.
 ///
 /// `counts` must be image-sized when `PROFILE` (asserted by the caller);
 /// `watch` is a dummy when `!WATCH`. Returns the executed-step count
@@ -393,7 +411,7 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
     counts: &mut [u64],
     watch: &mut Watchpoint,
 ) -> (u64, Result<CallOutcome, Trap>) {
-    let ops = image.ops();
+    let entries = image.entries();
     let mut pc: u32 = entry;
     let mut executed: u64 = 0;
     let outcome = loop {
@@ -403,8 +421,8 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
         // The trapping step counts: every trap arm below reports the
         // instruction (or bad word) that was reached, uniformly.
         executed += 1;
-        let slot = match ops.get(pc as usize) {
-            Some(s) => s,
+        let e = match entries.get(pc as usize) {
+            Some(e) => *e,
             None => break Err(Trap::BadInstruction { at: pc }),
         };
         if PROFILE {
@@ -413,10 +431,6 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
         if WATCH && watch.pc == pc {
             watch.hits += 1;
         }
-        let instr = match slot {
-            Ok(i) => *i,
-            Err(_) => break Err(Trap::BadInstruction { at: pc }),
-        };
 
         macro_rules! reg {
             ($r:expr) => {
@@ -441,71 +455,108 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
                 continue;
             }};
         }
-
-        match instr.op {
-            Opcode::Nop => {}
-            Opcode::Halt => {
+        // `run!(Op, i)`: execute opcode `Op` with the operands of entry `i`
+        // as the instruction at `pc`.
+        macro_rules! run {
+            (Nop, $i:ident) => {{}};
+            (Halt, $i:ident) => {
                 break Ok(CallOutcome {
                     return_value: regs[Reg::RV.index()],
                     executed,
                 })
-            }
-            Opcode::Mov => set!(instr.rd, reg!(instr.rs1)),
-            Opcode::Ldi => set!(instr.rd, instr.imm as i64),
-            Opcode::Add => set!(instr.rd, reg!(instr.rs1).wrapping_add(reg!(instr.rs2))),
-            Opcode::Sub => set!(instr.rd, reg!(instr.rs1).wrapping_sub(reg!(instr.rs2))),
-            Opcode::Mul => set!(instr.rd, reg!(instr.rs1).wrapping_mul(reg!(instr.rs2))),
-            Opcode::Div => {
-                let d = reg!(instr.rs2);
+            };
+            (Mov, $i:ident) => {
+                set!($i.rd, reg!($i.rs1))
+            };
+            (Ldi, $i:ident) => {
+                set!($i.rd, $i.imm as i64)
+            };
+            (Add, $i:ident) => {
+                set!($i.rd, reg!($i.rs1).wrapping_add(reg!($i.rs2)))
+            };
+            (Sub, $i:ident) => {
+                set!($i.rd, reg!($i.rs1).wrapping_sub(reg!($i.rs2)))
+            };
+            (Mul, $i:ident) => {
+                set!($i.rd, reg!($i.rs1).wrapping_mul(reg!($i.rs2)))
+            };
+            (Div, $i:ident) => {{
+                let d = reg!($i.rs2);
                 if d == 0 {
                     break Err(Trap::DivideByZero { at: pc });
                 }
-                set!(instr.rd, reg!(instr.rs1).wrapping_div(d));
-            }
-            Opcode::Mod => {
-                let d = reg!(instr.rs2);
+                set!($i.rd, reg!($i.rs1).wrapping_div(d));
+            }};
+            (Mod, $i:ident) => {{
+                let d = reg!($i.rs2);
                 if d == 0 {
                     break Err(Trap::DivideByZero { at: pc });
                 }
-                set!(instr.rd, reg!(instr.rs1).wrapping_rem(d));
-            }
-            Opcode::And => set!(instr.rd, reg!(instr.rs1) & reg!(instr.rs2)),
-            Opcode::Or => set!(instr.rd, reg!(instr.rs1) | reg!(instr.rs2)),
-            Opcode::Xor => set!(instr.rd, reg!(instr.rs1) ^ reg!(instr.rs2)),
-            Opcode::Shl => set!(instr.rd, reg!(instr.rs1) << (reg!(instr.rs2) & 63)),
-            Opcode::Shr => set!(instr.rd, reg!(instr.rs1) >> (reg!(instr.rs2) & 63)),
-            Opcode::Not => set!(instr.rd, !reg!(instr.rs1)),
-            Opcode::Addi => set!(instr.rd, reg!(instr.rs1).wrapping_add(instr.imm as i64)),
-            Opcode::Muli => set!(instr.rd, reg!(instr.rs1).wrapping_mul(instr.imm as i64)),
-            Opcode::Cmpeq => set!(instr.rd, (reg!(instr.rs1) == reg!(instr.rs2)) as i64),
-            Opcode::Cmpne => set!(instr.rd, (reg!(instr.rs1) != reg!(instr.rs2)) as i64),
-            Opcode::Cmplt => set!(instr.rd, (reg!(instr.rs1) < reg!(instr.rs2)) as i64),
-            Opcode::Cmple => set!(instr.rd, (reg!(instr.rs1) <= reg!(instr.rs2)) as i64),
-            Opcode::Ld => {
-                let addr = reg!(instr.rs1).wrapping_add(instr.imm as i64);
+                set!($i.rd, reg!($i.rs1).wrapping_rem(d));
+            }};
+            (And, $i:ident) => {
+                set!($i.rd, reg!($i.rs1) & reg!($i.rs2))
+            };
+            (Or, $i:ident) => {
+                set!($i.rd, reg!($i.rs1) | reg!($i.rs2))
+            };
+            (Xor, $i:ident) => {
+                set!($i.rd, reg!($i.rs1) ^ reg!($i.rs2))
+            };
+            (Shl, $i:ident) => {
+                set!($i.rd, reg!($i.rs1) << (reg!($i.rs2) & 63))
+            };
+            (Shr, $i:ident) => {
+                set!($i.rd, reg!($i.rs1) >> (reg!($i.rs2) & 63))
+            };
+            (Not, $i:ident) => {
+                set!($i.rd, !reg!($i.rs1))
+            };
+            (Addi, $i:ident) => {
+                set!($i.rd, reg!($i.rs1).wrapping_add($i.imm as i64))
+            };
+            (Muli, $i:ident) => {
+                set!($i.rd, reg!($i.rs1).wrapping_mul($i.imm as i64))
+            };
+            (Cmpeq, $i:ident) => {
+                set!($i.rd, (reg!($i.rs1) == reg!($i.rs2)) as i64)
+            };
+            (Cmpne, $i:ident) => {
+                set!($i.rd, (reg!($i.rs1) != reg!($i.rs2)) as i64)
+            };
+            (Cmplt, $i:ident) => {
+                set!($i.rd, (reg!($i.rs1) < reg!($i.rs2)) as i64)
+            };
+            (Cmple, $i:ident) => {
+                set!($i.rd, (reg!($i.rs1) <= reg!($i.rs2)) as i64)
+            };
+            (Ld, $i:ident) => {{
+                let addr = reg!($i.rs1).wrapping_add($i.imm as i64);
                 match mem.read(addr) {
-                    Ok(v) => set!(instr.rd, v),
+                    Ok(v) => set!($i.rd, v),
                     Err(_) => break Err(Trap::BadMemory { at: pc, addr }),
                 }
-            }
-            Opcode::St => {
-                let addr = reg!(instr.rs1).wrapping_add(instr.imm as i64);
-                if mem.write(addr, reg!(instr.rs2)).is_err() {
+            }};
+            (St, $i:ident) => {{
+                let addr = reg!($i.rs1).wrapping_add($i.imm as i64);
+                if mem.write(addr, reg!($i.rs2)).is_err() {
                     break Err(Trap::BadMemory { at: pc, addr });
                 }
-            }
-            Opcode::Jmp => jump_to!(instr.imm as u32 as i64),
-            Opcode::Beqz => {
-                if reg!(instr.rs1) == 0 {
-                    jump_to!(instr.imm as u32 as i64);
+            }};
+            (Jmp, $i:ident) => {
+                jump_to!($i.imm as u32 as i64)
+            };
+            (Beqz, $i:ident) => {
+                if reg!($i.rs1) == 0 {
+                    jump_to!($i.imm as u32 as i64);
                 }
-            }
-            Opcode::Bnez => {
-                if reg!(instr.rs1) != 0 {
-                    jump_to!(instr.imm as u32 as i64);
+            };
+            (Bnez, $i:ident) => {
+                if reg!($i.rs1) != 0 {
+                    jump_to!($i.imm as u32 as i64);
                 }
-            }
-            Opcode::Call => {
+            };
+            (Call, $i:ident) => {{
                 let sp = regs[Reg::SP.index()] - 1;
                 if sp < stack_limit {
                     break Err(Trap::BadMemory { at: pc, addr: sp });
@@ -514,9 +565,9 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
                     break Err(Trap::BadMemory { at: pc, addr: sp });
                 }
                 regs[Reg::SP.index()] = sp;
-                jump_to!(instr.imm as u32 as i64);
-            }
-            Opcode::Ret => {
+                jump_to!($i.imm as u32 as i64);
+            }};
+            (Ret, $i:ident) => {{
                 let sp = regs[Reg::SP.index()];
                 let ra = match mem.read(sp) {
                     Ok(v) => v,
@@ -530,31 +581,54 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
                     });
                 }
                 jump_to!(ra);
-            }
-            Opcode::Push => {
+            }};
+            (Push, $i:ident) => {{
                 let sp = regs[Reg::SP.index()] - 1;
-                if sp < stack_limit || mem.write(sp, reg!(instr.rs1)).is_err() {
+                if sp < stack_limit || mem.write(sp, reg!($i.rs1)).is_err() {
                     break Err(Trap::BadMemory { at: pc, addr: sp });
                 }
                 regs[Reg::SP.index()] = sp;
-            }
-            Opcode::Pop => {
+            }};
+            (Pop, $i:ident) => {{
                 let sp = regs[Reg::SP.index()];
                 match mem.read(sp) {
                     Ok(v) => {
-                        set!(instr.rd, v);
+                        set!($i.rd, v);
                         regs[Reg::SP.index()] = sp + 1;
                     }
                     Err(_) => break Err(Trap::BadMemory { at: pc, addr: sp }),
                 }
-            }
-            Opcode::Hcall => {
-                if let Err(t) = hcalls.hcall(instr.imm, pc, &mut regs, mem) {
+            }};
+            (Hcall, $i:ident) => {{
+                if let Err(t) = hcalls.hcall($i.imm, pc, &mut regs, mem) {
                     break Err(t);
                 }
                 regs[Reg::ZERO.index()] = 0; // keep r0 hard-zero across handlers
-            }
+            }};
         }
+        macro_rules! dispatch {
+            (plain: $($p:ident),*; fused: $($f:ident = $h:ident + $t:ident),*;) => {
+                match e.kind {
+                    $(Kind::$p => run!($p, e),)*
+                    Kind::Bad => break Err(Trap::BadInstruction { at: pc }),
+                    $(Kind::$f => {
+                        run!($h, e);
+                        if !PROFILE && executed < budget {
+                            executed += 1;
+                            pc += 1;
+                            if WATCH && watch.pc == pc {
+                                watch.hits += 1;
+                            }
+                            // Fusion requires a successor, so this indexes
+                            // in range; its fields describe the tail word.
+                            let tail = entries[pc as usize];
+                            run!($t, tail);
+                        }
+                    })*
+                }
+            };
+        }
+        for_each_kind!(dispatch);
         pc += 1;
     };
     (executed, outcome)
@@ -1029,5 +1103,342 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CallError::Trap(Trap::BadInstruction { at: 1 }));
         assert_eq!(vm.total_executed(), 2, "nop plus the out-of-range fetch");
+    }
+
+    // ----- Superinstruction fusion -------------------------------------
+
+    use crate::entry::Kind;
+    use crate::image::Patch;
+    use crate::isa::{Instr, Opcode};
+    use proptest::prelude::*;
+
+    /// Everything observable about one call.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outcome: Result<CallOutcome, CallError>,
+        executed: u64,
+        hits: Option<u64>,
+        mem: Vec<i64>,
+    }
+
+    fn kind_at(image: &CodeImage, a: usize) -> Kind {
+        image.entries()[a].kind
+    }
+
+    /// Runs `func` once per dispatch variant — fused without a watchpoint,
+    /// fused with one, and the unfused profiling loop with one — from the
+    /// same initial memory, asserts all three agree, and returns what the
+    /// fused loop observed.
+    fn run_variants(
+        image: &CodeImage,
+        mem: &Memory,
+        args: &[i64],
+        budget: u64,
+        watch: Option<u32>,
+    ) -> Observed {
+        let config = VmConfig {
+            budget,
+            stack_cells: 16,
+        };
+        let run = |profile: bool, watch: Option<u32>| {
+            let mut mem = mem.clone();
+            let mut vm = Vm::with_config(config);
+            if profile {
+                vm.enable_profiling(image.len());
+            }
+            if let Some(pc) = watch {
+                vm.set_watchpoint(pc);
+            }
+            let outcome = vm.call_entry(image, &mut mem, &mut NoHcalls, 0, args);
+            Observed {
+                outcome,
+                executed: vm.total_executed(),
+                hits: vm.watchpoint().map(|w| w.hits),
+                mem: mem.read_block(0, mem.len()).unwrap(),
+            }
+        };
+        let fused = run(false, watch);
+        let unfused = run(true, watch);
+        assert_eq!(fused, unfused, "fused and unfused dispatch disagree");
+        let unwatched = run(false, None);
+        assert_eq!(
+            (&unwatched.outcome, unwatched.executed, &unwatched.mem),
+            (&fused.outcome, fused.executed, &fused.mem),
+            "arming a watchpoint changed execution"
+        );
+        fused
+    }
+
+    #[test]
+    fn wild_load_at_a_pair_head_traps_at_the_head() {
+        let image = assemble(
+            r#"
+            .func main
+                ldi r10, -500
+                ld r1, [r10+0]
+                ldi r2, 7
+                ret
+            "#,
+        )
+        .unwrap();
+        assert_eq!(kind_at(&image, 1), Kind::LdLdi);
+        let got = run_variants(&image, &Memory::new(64), &[], 100, None);
+        assert_eq!(
+            got.outcome.unwrap_err().trap(),
+            Some(Trap::BadMemory { at: 1, addr: -500 })
+        );
+        assert_eq!(got.executed, 2, "the tail is not reached");
+    }
+
+    #[test]
+    fn watchpoint_on_the_tail_of_a_trapping_head_sees_nothing() {
+        let image = assemble(
+            r#"
+            .func main
+                ldi r10, 9999
+                st [r10+0], r2
+                ld r1, [r0+3]
+                ret
+            "#,
+        )
+        .unwrap();
+        assert_eq!(kind_at(&image, 1), Kind::StLd);
+        let tail = run_variants(&image, &Memory::new(64), &[], 100, Some(2));
+        assert_eq!(
+            tail.outcome.unwrap_err().trap(),
+            Some(Trap::BadMemory { at: 1, addr: 9999 })
+        );
+        assert_eq!(tail.hits, Some(0));
+        let head = run_variants(&image, &Memory::new(64), &[], 100, Some(1));
+        assert_eq!(head.hits, Some(1), "the trapping head was reached");
+    }
+
+    #[test]
+    fn trap_in_a_pair_tail_reports_the_tail() {
+        let image = assemble(
+            r#"
+            .func main
+                ldi r10, 5
+                ld r11, [r0+1]
+                ld r1, [r10+9000]
+                ret
+            "#,
+        )
+        .unwrap();
+        assert_eq!(kind_at(&image, 1), Kind::LdLd);
+        let got = run_variants(&image, &Memory::new(64), &[], 100, Some(2));
+        assert_eq!(
+            got.outcome.unwrap_err().trap(),
+            Some(Trap::BadMemory { at: 2, addr: 9005 })
+        );
+        assert_eq!((got.executed, got.hits), (3, Some(1)));
+    }
+
+    #[test]
+    fn budget_with_one_step_left_runs_the_pair_head_alone() {
+        let image = assemble(
+            r#"
+            .func main
+                ldi r2, 1
+                ld r1, [r0+10]
+                ldi r3, 2
+                ret
+            "#,
+        )
+        .unwrap();
+        assert_eq!(kind_at(&image, 1), Kind::LdLdi);
+        // Budget 2: `ldi` leaves exactly one step for the pair at 1.
+        let got = run_variants(&image, &Memory::new(64), &[], 2, Some(2));
+        assert_eq!(
+            got.outcome.unwrap_err().trap(),
+            Some(Trap::BudgetExhausted { executed: 2 })
+        );
+        assert_eq!(got.hits, Some(0), "the tail never ran");
+        // Budget 3 covers the whole pair; the `ret` is what runs out.
+        let got = run_variants(&image, &Memory::new(64), &[], 3, Some(2));
+        assert_eq!(
+            got.outcome.unwrap_err().trap(),
+            Some(Trap::BudgetExhausted { executed: 3 })
+        );
+        assert_eq!(got.hits, Some(1));
+        let done = run_variants(&image, &Memory::new(64), &[], 4, None);
+        assert_eq!(done.outcome.unwrap().executed, 4);
+    }
+
+    #[test]
+    fn jump_into_a_pair_tail_runs_the_tail_alone() {
+        let image = assemble(
+            r#"
+            .func main
+                jmp 2
+                ldi r1, 99
+                add r1, r1, r2
+                ret
+            "#,
+        )
+        .unwrap();
+        assert_eq!(kind_at(&image, 1), Kind::LdiAdd);
+        let got = run_variants(&image, &Memory::new(64), &[5], 100, Some(1));
+        let out = got.outcome.unwrap();
+        assert_eq!((out.return_value, out.executed), (5, 3));
+        assert_eq!(got.hits, Some(0), "the skipped head never ran");
+    }
+
+    #[test]
+    fn patches_that_create_and_break_pairs_rederive_both_entries() {
+        // `ldi; nop; ret` has no pair until word 1 becomes an `add`.
+        let mut image = assemble(
+            r#"
+            .func main
+                ldi r1, 5
+                nop
+                ret
+            "#,
+        )
+        .unwrap();
+        let mem = Memory::new(64);
+        let add = Instr::alu3(Opcode::Add, Reg::RV, Reg::RV, Reg::A0).encode();
+        let undo = image
+            .apply(&[Patch {
+                addr: 1,
+                new_word: add,
+            }])
+            .unwrap();
+        assert_eq!(kind_at(&image, 0), Kind::LdiAdd, "the patch created a pair");
+        let got = run_variants(&image, &mem, &[37], 100, Some(1));
+        assert_eq!(got.outcome.unwrap().return_value, 42);
+        assert_eq!(got.hits, Some(1));
+        image.revert(&undo);
+        assert_eq!(kind_at(&image, 0), Kind::Ldi, "the revert broke it again");
+        let got = run_variants(&image, &mem, &[37], 100, Some(1));
+        assert_eq!(got.outcome.unwrap().return_value, 5);
+
+        // `ld; ldi; add; ret` chains two pairs; NOP-ing the middle word
+        // breaks both the pair it heads and the pair it tails.
+        let mut image = assemble(
+            r#"
+            .func main
+                ld r1, [r0+10]
+                ldi r2, 1
+                add r1, r1, r2
+                ret
+            "#,
+        )
+        .unwrap();
+        let mut mem = Memory::new(64);
+        mem.write(10, 40).unwrap();
+        assert_eq!(
+            (kind_at(&image, 0), kind_at(&image, 1)),
+            (Kind::LdLdi, Kind::LdiAdd)
+        );
+        let undo = image
+            .apply(&[Patch {
+                addr: 1,
+                new_word: Instr::nop().encode(),
+            }])
+            .unwrap();
+        assert_eq!(
+            (kind_at(&image, 0), kind_at(&image, 1)),
+            (Kind::Ld, Kind::Nop)
+        );
+        let got = run_variants(&image, &mem, &[3], 100, Some(1));
+        assert_eq!(
+            got.outcome.unwrap().return_value,
+            43,
+            "r2 keeps the argument"
+        );
+        image.revert(&undo);
+        assert_eq!(
+            (kind_at(&image, 0), kind_at(&image, 1)),
+            (Kind::LdLdi, Kind::LdiAdd)
+        );
+        let got = run_variants(&image, &mem, &[3], 100, Some(1));
+        assert_eq!(got.outcome.unwrap().return_value, 41);
+    }
+
+    /// Instructions over a few registers and a small memory, weighted
+    /// towards the opcodes that fuse, with some wild addresses, traps and
+    /// out-of-range branch targets.
+    fn arb_instr(code_len: u32) -> impl Strategy<Value = Instr> {
+        let r = || (0u8..6).prop_map(|i| Reg::new(i).unwrap());
+        let target = || 0..code_len + 2;
+        let alu = prop_oneof![
+            Just(Opcode::Add),
+            Just(Opcode::Sub),
+            Just(Opcode::Mul),
+            Just(Opcode::Div),
+            Just(Opcode::Cmpeq),
+            Just(Opcode::Cmpne),
+            Just(Opcode::Cmplt),
+            Just(Opcode::Cmple),
+        ];
+        prop_oneof![
+            (r(), r(), -2i32..50).prop_map(|(d, b, o)| Instr::ld(d, b, o)),
+            (r(), r(), -2i32..50).prop_map(|(b, v, o)| Instr::store(b, o, v)),
+            (r(), -3i32..40).prop_map(|(d, i)| Instr::ldi(d, i)),
+            (alu, r(), r(), r()).prop_map(|(op, d, a, b)| Instr::alu3(op, d, a, b)),
+            (r(), r(), -3i32..4).prop_map(|(d, a, i)| Instr::addi(d, a, i)),
+            (r(), target()).prop_map(|(c, t)| Instr::beqz(c, t)),
+            (r(), target()).prop_map(|(c, t)| Instr::bnez(c, t)),
+            target().prop_map(Instr::jmp),
+            target().prop_map(Instr::call),
+            Just(Instr::ret()),
+            Just(Instr::halt()),
+            Just(Instr::nop()),
+        ]
+    }
+
+    /// One step of a patch storm: apply a batch (valid instructions or
+    /// undecodable words), or undo the most recent batch.
+    fn arb_storm_step(code_len: u32) -> impl Strategy<Value = Option<Vec<Patch>>> {
+        let word = prop_oneof![arb_instr(code_len).prop_map(Instr::encode), any::<u64>(),];
+        let batch = proptest::collection::vec(
+            (0..code_len, word).prop_map(|(addr, new_word)| Patch { addr, new_word }),
+            1..4,
+        );
+        prop_oneof![batch.prop_map(Some), Just(None)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused dispatch loop and the unfused (profiling) one agree on
+        /// return value, `executed`, the trap and its address, final memory
+        /// and watchpoint hits — for random programs under random budgets,
+        /// watchpoints and patch/undo storms.
+        #[test]
+        fn prop_fused_dispatch_matches_unfused(
+            instrs in proptest::collection::vec(arb_instr(16), 2..16),
+            storm in proptest::collection::vec(arb_storm_step(16), 0..6),
+            budget in 0u64..120,
+            watch in 0u32..18,
+            args in (-3i64..20, -3i64..20),
+        ) {
+            let len = instrs.len() as u32;
+            let funcs = vec![crate::FuncInfo { name: "main".into(), entry: 0, end: len }];
+            let mut image = CodeImage::link("diff", &instrs, funcs).unwrap();
+            let mut mem = Memory::new(64);
+            for a in 0..48 {
+                mem.write(a, (a * 7) % 11 - 3).unwrap();
+            }
+            let args = [args.0, args.1];
+            run_variants(&image, &mem, &args, budget, Some(watch));
+            let mut undos = Vec::new();
+            for step in &storm {
+                match step {
+                    Some(batch) => {
+                        let batch: Vec<Patch> =
+                            batch.iter().filter(|p| p.addr < len).copied().collect();
+                        undos.push(image.apply(&batch).unwrap());
+                    }
+                    None => {
+                        if let Some(undo) = undos.pop() {
+                            image.revert(&undo);
+                        }
+                    }
+                }
+                run_variants(&image, &mem, &args, budget, Some(watch));
+            }
+        }
     }
 }

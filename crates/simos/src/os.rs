@@ -192,13 +192,13 @@ pub struct Os {
 /// `Arc`-shared, so the clone here is cheap and stays cheap to restore).
 /// The code image is deliberately *not* captured: the injector owns image
 /// state via its `PatchSet` undo log, and a snapshot restore must not be
-/// able to paper over a leaked patch — instead the image fingerprint is
-/// recorded and checked at restore time.
+/// able to paper over a leaked patch — instead the image's code words are
+/// recorded and compared at restore time.
 #[derive(Clone, Debug)]
 pub struct OsSnapshot {
     mem: Memory,
     devices: DeviceStore,
-    image_fingerprint: u64,
+    image_words: Vec<u64>,
 }
 
 impl Os {
@@ -330,7 +330,7 @@ impl Os {
         OsSnapshot {
             mem: self.mem.clone(),
             devices: self.devices.clone(),
-            image_fingerprint: self.program.image().fingerprint(),
+            image_words: self.program.image().words().to_vec(),
         }
     }
 
@@ -346,13 +346,13 @@ impl Os {
     ///
     /// # Panics
     ///
-    /// Panics if the code image no longer matches the snapshot's
-    /// fingerprint — that means an injected fault was not reverted, and
-    /// silently continuing would corrupt every later slot.
+    /// Panics if the code image's words differ from the snapshot's — that
+    /// means an injected fault was not reverted, and silently continuing
+    /// would corrupt every later slot. The check is an exact slice compare
+    /// (a memcmp), not a hash, so it is both cheaper and collision-free.
     pub fn restore_snapshot(&mut self, snap: &OsSnapshot) {
-        assert_eq!(
-            self.program.image().fingerprint(),
-            snap.image_fingerprint,
+        assert!(
+            self.program.image().words() == snap.image_words.as_slice(),
             "restore_snapshot on a patched image: revert injected faults before slot reset"
         );
         self.mem.copy_from(&snap.mem);
