@@ -1,7 +1,7 @@
 //! Performance gate and trajectory recorder.
 //!
-//! Times the hot paths the campaign rests on (the same workloads as the
-//! criterion benches, minus the harness) and emits a machine-readable
+//! Times the hot paths the campaign rests on (the VM interpreter, the
+//! inject/restore cycle and a 10-slot campaign) and emits a machine-readable
 //! `BENCH_<date>.json`. In `check` mode it compares against a stored
 //! baseline and fails the build when a *gated* metric — the VM
 //! interpreter or the inject/restore cycle — regresses by more than
@@ -165,8 +165,8 @@ fn measure(rounds: usize) -> Report {
         );
     }
 
-    // The end-to-end number the PR trajectory tracks: a 10-fault
-    // campaign, one slot each (the pipeline bench's configuration).
+    // The end-to-end number the trajectory tracks: a 10-fault campaign,
+    // one slot each.
     let campaign = Campaign::new(
         Edition::Nimbus2000,
         ServerKind::Wren,

@@ -66,8 +66,6 @@ pub mod taxonomy;
 pub use faultload::{FaultDef, Faultload};
 pub use hardware::{BitFlip, HardwareFaultload};
 pub use injector::{InjectError, Injector};
-#[allow(deprecated)]
-pub use operators::standard_operators;
 pub use operators::{Mutation, MutationOperator};
 pub use pack::{FaultPack, PackError, PackRef};
 pub use profile::{ApiTrace, ProfileSet};

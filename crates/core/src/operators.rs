@@ -1,5 +1,5 @@
-//! The mutation-operator layer: the operator contract, the shared pattern
-//! analyses, and thin legacy wrappers for the classic 12.
+//! The mutation-operator layer: the operator contract and the shared
+//! pattern analyses.
 //!
 //! Paper §2.2: *"Each operator describes one specific type of fault […] and
 //! comprises two components: a search pattern and a low-level mutation
@@ -9,10 +9,11 @@
 //!
 //! - the [`MutationOperator`] contract and [`Mutation`] output type,
 //! - the code-shape analyses (`if_sites`, `literal_assignments`, … —
-//!   crate-private) that pack patterns parameterize,
-//! - the original operator structs ([`MifsOp`], [`WvavOp`], …), now thin
-//!   delegates to the bundled `odc-classic` pack so existing code keeps
-//!   compiling and produces identical faultloads.
+//!   crate-private) that pack patterns parameterize.
+//!
+//! The classic 12 operators of Table 1 are the bundled `odc-classic` pack
+//! ([`crate::pack::classic`]); a narrower library is a filtered copy of it
+//! passed to [`crate::Scanner::builder`].
 //!
 //! Operators are deliberately conservative: when a pattern is ambiguous
 //! (non-contiguous evaluation slice, jumps into a candidate region, missing
@@ -62,16 +63,6 @@ pub trait MutationOperator {
     /// Scans one function and returns every location where the fault can be
     /// emulated.
     fn scan(&self, func: &FuncView) -> Vec<Mutation>;
-}
-
-/// The full operator library for the 12 fault types of Table 1.
-#[deprecated(
-    since = "0.7.0",
-    note = "operators are pack content now — use `Scanner::builder().classic()` or \
-            `pack::classic()`"
-)]
-pub fn standard_operators() -> Vec<Box<dyn MutationOperator>> {
-    crate::pack::classic_operators()
 }
 
 // --------------------------------------------------------------------------
@@ -353,95 +344,10 @@ pub(crate) fn def_of(func: &FuncView, reg: Reg, before: usize) -> Option<usize> 
     None
 }
 
-// --------------------------------------------------------------------------
-// the classic 12, as thin delegates to the bundled odc-classic pack
-// --------------------------------------------------------------------------
-
-macro_rules! classic_delegate {
-    ($(#[$doc:meta])* $name:ident, $ty:ident, $id:literal) => {
-        $(#[$doc])*
-        pub struct $name;
-
-        impl MutationOperator for $name {
-            fn fault_type(&self) -> FaultType {
-                FaultType::$ty
-            }
-
-            fn scan(&self, func: &FuncView) -> Vec<Mutation> {
-                crate::pack::classic_scan($id, func)
-            }
-        }
-    };
-}
-
-classic_delegate!(
-    /// MIFS — missing `if (cond) { statement(s) }`: removes condition
-    /// evaluation, branch and body.
-    MifsOp, Mifs, "MIFS"
-);
-classic_delegate!(
-    /// MIA — missing `if (cond)` *surrounding* statements: removes only the
-    /// condition evaluation and the branch, so the body always executes.
-    MiaOp, Mia, "MIA"
-);
-classic_delegate!(
-    /// MLAC — missing `&& EXPR` clause: in a chain of `beqz` branches to the
-    /// same false-target, removes a trailing clause (its evaluation and
-    /// branch).
-    MlacOp, Mlac, "MLAC"
-);
-classic_delegate!(
-    /// MFC — missing function call: removes a `call` whose return value is
-    /// not used.
-    MfcOp, Mfc, "MFC"
-);
-classic_delegate!(
-    /// MVI — missing variable initialization: removes a literal store in the
-    /// declaration region of the function.
-    MviOp, Mvi, "MVI"
-);
-classic_delegate!(
-    /// MVAV — missing variable assignment using a value: removes a literal
-    /// (or single-load copy) assignment outside the declaration region.
-    MvavOp, Mvav, "MVAV"
-);
-classic_delegate!(
-    /// MVAE — missing variable assignment using an expression: removes a
-    /// store and the whole contiguous expression slice feeding it.
-    MvaeOp, Mvae, "MVAE"
-);
-classic_delegate!(
-    /// MLPC — missing small, localized part of the algorithm: removes a
-    /// short window from the middle of a long straight-line run.
-    MlpcOp, Mlpc, "MLPC"
-);
-classic_delegate!(
-    /// WVAV — wrong value assigned to a variable: perturbs the literal of an
-    /// assignment (off-by-one, the classic field bug).
-    WvavOp, Wvav, "WVAV"
-);
-classic_delegate!(
-    /// WLEC — wrong logical expression used as branch condition: flips the
-    /// comparison feeding a conditional branch (`<` ↔ `<=`, `==` ↔ `!=`).
-    /// Restricted to branches fed by an explicit comparison so that bare
-    /// variable tests (`if (p)`) — which a programmer rarely "gets wrong" as
-    /// a whole expression — are not matched.
-    WlecOp, Wlec, "WLEC"
-);
-classic_delegate!(
-    /// WAEP — wrong arithmetic expression in a call parameter: perturbs the
-    /// arithmetic instruction computing an argument value.
-    WaepOp, Waep, "WAEP"
-);
-classic_delegate!(
-    /// WPFV — wrong variable used in a call parameter: redirects the load
-    /// feeding an argument to a *different* frame slot.
-    WpfvOp, Wpfv, "WPFV"
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::{classic_op, CompiledOperator};
     use crate::taxonomy::FaultType;
     use minic::compile;
 
@@ -450,10 +356,11 @@ mod tests {
         FuncView::all_of(p.image())
     }
 
-    fn scan_one(op: &dyn MutationOperator, src: &str, func: &str) -> Vec<Mutation> {
+    /// Scans function `func` of `src` with the classic operator `id`.
+    fn scan_one(id: &str, src: &str, func: &str) -> Vec<Mutation> {
         let vs = views(src);
         let v = vs.iter().find(|v| v.name == func).unwrap();
-        op.scan(v)
+        classic_op(id).scan(v)
     }
 
     const IF_SRC: &str = r#"
@@ -466,7 +373,7 @@ mod tests {
 
     #[test]
     fn mifs_finds_and_removes_whole_if() {
-        let ms = scan_one(&MifsOp, IF_SRC, "f");
+        let ms = scan_one("MIFS", IF_SRC, "f");
         assert_eq!(ms.len(), 1);
         // cond eval (ld,ld,cmplt) + beqz + body (ldi,st) = 6 nops
         assert_eq!(ms[0].patches.len(), 6);
@@ -478,7 +385,7 @@ mod tests {
 
     #[test]
     fn mia_removes_only_the_guard() {
-        let ms = scan_one(&MiaOp, IF_SRC, "f");
+        let ms = scan_one("MIA", IF_SRC, "f");
         assert_eq!(ms.len(), 1);
         // cond eval (3) + branch (1)
         assert_eq!(ms[0].patches.len(), 4);
@@ -494,7 +401,7 @@ mod tests {
             }
         "#;
         // The then-arm ends in `jmp`, so neither arm may match.
-        assert!(scan_one(&MifsOp, src, "f").is_empty());
+        assert!(scan_one("MIFS", src, "f").is_empty());
     }
 
     #[test]
@@ -506,7 +413,7 @@ mod tests {
                 return i;
             }
         "#;
-        assert!(scan_one(&MifsOp, src, "f").is_empty());
+        assert!(scan_one("MIFS", src, "f").is_empty());
     }
 
     #[test]
@@ -517,7 +424,7 @@ mod tests {
                 return 0;
             }
         "#;
-        let ms = scan_one(&MlacOp, src, "f");
+        let ms = scan_one("MLAC", src, "f");
         assert_eq!(ms.len(), 2); // two trailing clauses
     }
 
@@ -525,7 +432,7 @@ mod tests {
     fn mlac_requires_shared_target() {
         // `a || b` compiles to bnez/beqz with different targets — no match.
         let src = "fn f(a, b) { if (a || b) { return 1; } return 0; }";
-        assert!(scan_one(&MlacOp, src, "f").is_empty());
+        assert!(scan_one("MLAC", src, "f").is_empty());
     }
 
     #[test]
@@ -538,7 +445,7 @@ mod tests {
                 return r;
             }
         "#;
-        let ms = scan_one(&MfcOp, src, "f");
+        let ms = scan_one("MFC", src, "f");
         assert_eq!(ms.len(), 1);
         // The statement call is the first call in the function.
         let vs = views(src);
@@ -557,9 +464,9 @@ mod tests {
                 return x + y;
             }
         "#;
-        let mvi = scan_one(&MviOp, src, "f");
+        let mvi = scan_one("MVI", src, "f");
         assert_eq!(mvi.len(), 2); // the two initializations
-        let mvav = scan_one(&MvavOp, src, "f");
+        let mvav = scan_one("MVAV", src, "f");
         assert_eq!(mvav.len(), 1); // the x = 7 inside the if
     }
 
@@ -573,7 +480,7 @@ mod tests {
                 return x;
             }
         "#;
-        let ms = scan_one(&MvaeOp, src, "f");
+        let ms = scan_one("MVAE", src, "f");
         assert_eq!(ms.len(), 1);
         // slice: ld a, ld b, ldi 2, mul, add + st = 6 instructions
         assert_eq!(ms[0].patches.len(), 6);
@@ -589,18 +496,18 @@ mod tests {
                 return x + y + z;
             }
         "#;
-        assert!(!scan_one(&MlpcOp, long, "f").is_empty());
+        assert!(!scan_one("MLPC", long, "f").is_empty());
         let short = "fn f(a) { return a; }";
-        assert!(scan_one(&MlpcOp, short, "f").is_empty());
+        assert!(scan_one("MLPC", short, "f").is_empty());
         // Window length is fixed.
-        for m in scan_one(&MlpcOp, long, "f") {
+        for m in scan_one("MLPC", long, "f") {
             assert_eq!(m.patches.len(), MLPC_WINDOW);
         }
     }
 
     #[test]
     fn wvav_perturbs_literal() {
-        let ms = scan_one(&WvavOp, "fn f() { var x = 41; return x; }", "f");
+        let ms = scan_one("WVAV", "fn f() { var x = 41; return x; }", "f");
         assert_eq!(ms.len(), 1);
         let patched = Instr::decode(ms[0].patches[0].new_word).unwrap();
         assert_eq!(patched.op, Opcode::Ldi);
@@ -609,7 +516,7 @@ mod tests {
 
     #[test]
     fn wlec_flips_comparison() {
-        let ms = scan_one(&WlecOp, IF_SRC, "f");
+        let ms = scan_one("WLEC", IF_SRC, "f");
         assert_eq!(ms.len(), 1);
         let patched = Instr::decode(ms[0].patches[0].new_word).unwrap();
         // a > b compiles to cmplt with swapped operands; flip → cmple.
@@ -619,7 +526,7 @@ mod tests {
     #[test]
     fn wlec_skips_bare_variable_tests() {
         let src = "fn f(a) { if (a) { return 1; } return 0; }";
-        assert!(scan_one(&WlecOp, src, "f").is_empty());
+        assert!(scan_one("WLEC", src, "f").is_empty());
     }
 
     #[test]
@@ -628,7 +535,7 @@ mod tests {
             fn g(x) { return x; }
             fn f(a, b) { return g(a + b); }
         "#;
-        let ms = scan_one(&WaepOp, src, "f");
+        let ms = scan_one("WAEP", src, "f");
         assert_eq!(ms.len(), 1);
         let patched = Instr::decode(ms[0].patches[0].new_word).unwrap();
         assert_eq!(patched.op, Opcode::Sub);
@@ -640,7 +547,7 @@ mod tests {
             fn g(x) { return x; }
             fn f(a, b) { return g(a); }
         "#;
-        let ms = scan_one(&WpfvOp, src, "f");
+        let ms = scan_one("WPFV", src, "f");
         assert_eq!(ms.len(), 1);
         let patched = Instr::decode(ms[0].patches[0].new_word).unwrap();
         assert_eq!(patched.op, Opcode::Ld);
@@ -654,13 +561,12 @@ mod tests {
             fn f(a) { return g(a); }
         "#;
         // Only one frame slot — nothing to confuse the variable with.
-        assert!(scan_one(&WpfvOp, src, "f").is_empty());
+        assert!(scan_one("WPFV", src, "f").is_empty());
     }
 
     #[test]
-    #[allow(deprecated)]
     fn operator_library_is_complete() {
-        let ops = standard_operators();
+        let ops: Vec<CompiledOperator> = crate::pack::classic().compile().unwrap();
         assert_eq!(ops.len(), 12);
         let types: std::collections::BTreeSet<FaultType> =
             ops.iter().map(|o| o.fault_type()).collect();
@@ -669,8 +575,20 @@ mod tests {
 
     #[test]
     fn default_operator_id_is_the_acronym() {
-        assert_eq!(MifsOp.id(), "MIFS");
-        assert_eq!(WpfvOp.id(), "WPFV");
+        // The trait default, and what every classic operator declares.
+        struct Bare;
+        impl MutationOperator for Bare {
+            fn fault_type(&self) -> FaultType {
+                FaultType::Wpfv
+            }
+            fn scan(&self, _: &FuncView) -> Vec<Mutation> {
+                Vec::new()
+            }
+        }
+        assert_eq!(Bare.id(), "WPFV");
+        for op in crate::pack::classic().compile().unwrap() {
+            assert_eq!(op.id(), op.fault_type().acronym());
+        }
     }
 
     /// Applying MIFS actually changes behaviour the way a missing `if`
@@ -681,7 +599,7 @@ mod tests {
         let mut p = compile("t", IF_SRC).unwrap();
         let ms = {
             let vs = FuncView::all_of(p.image());
-            MifsOp.scan(vs.iter().find(|v| v.name == "f").unwrap())
+            classic_op("MIFS").scan(vs.iter().find(|v| v.name == "f").unwrap())
         };
         let undo = p.image_mut().apply(&ms[0].patches).unwrap();
         let mut vm = Vm::new();
@@ -704,7 +622,7 @@ mod tests {
         let mut p = compile("t", IF_SRC).unwrap();
         let ms = {
             let vs = FuncView::all_of(p.image());
-            MiaOp.scan(vs.iter().find(|v| v.name == "f").unwrap())
+            classic_op("MIA").scan(vs.iter().find(|v| v.name == "f").unwrap())
         };
         p.image_mut().apply(&ms[0].patches).unwrap();
         let mut vm = Vm::new();

@@ -1347,28 +1347,16 @@ pub fn classic() -> &'static FaultPack {
     })
 }
 
-/// The compiled classic operators, in pack (= Table 1 library) order.
-fn classic_compiled() -> &'static [CompiledOperator] {
-    static OPS: OnceLock<Vec<CompiledOperator>> = OnceLock::new();
-    OPS.get_or_init(|| classic().compile().expect("bundled odc-classic compiles"))
-}
-
-/// Runs one classic operator (by id, e.g. `"MIFS"`) over a function — the
-/// implementation the thin legacy operator structs delegate to.
-pub(crate) fn classic_scan(id: &str, func: &FuncView) -> Vec<Mutation> {
-    classic_compiled()
-        .iter()
+/// One compiled classic operator by id (e.g. `"MIFS"`), for tests that
+/// exercise a single operator.
+#[cfg(test)]
+pub(crate) fn classic_op(id: &str) -> CompiledOperator {
+    classic()
+        .compile()
+        .expect("bundled odc-classic compiles")
+        .into_iter()
         .find(|op| op.def.id == id)
         .unwrap_or_else(|| panic!("odc-classic has operator {id}"))
-        .scan(func)
-}
-
-/// Boxed classic operators for scanner assembly.
-pub(crate) fn classic_operators() -> Vec<Box<dyn MutationOperator>> {
-    classic_compiled()
-        .iter()
-        .map(|op| Box::new(op.clone()) as Box<dyn MutationOperator>)
-        .collect()
 }
 
 #[cfg(test)]
@@ -1631,39 +1619,6 @@ mod tests {
         };
         assert_eq!(r.to_string(), "p@2#0000000000000abc");
         assert_ne!(pack_set_hash(std::slice::from_ref(&r)), pack_set_hash(&[]));
-    }
-
-    #[test]
-    fn legacy_structs_delegate_to_the_classic_pack() {
-        // Byte-identity vs the pre-pack scanner is proven by the frozen
-        // whole-image golden fixtures in the bench crate; here, verify the
-        // thin legacy structs are wired to the same compiled operators.
-        let src = r#"
-            fn helper(x) { return x * 2; }
-            fn f(a, b) {
-                var r = 0;
-                if (a > 0 && b > 0) { r = a + b; }
-                helper(r);
-                return r;
-            }
-        "#;
-        let p = compile("t", src).unwrap();
-        let views = FuncView::all_of(p.image());
-        #[allow(deprecated)]
-        let legacy = crate::operators::standard_operators();
-        for (compiled, legacy) in classic_compiled().iter().zip(&legacy) {
-            assert_eq!(compiled.fault_type(), legacy.fault_type());
-            assert_eq!(compiled.id(), legacy.id());
-            for v in &views {
-                assert_eq!(
-                    compiled.scan(v),
-                    legacy.scan(v),
-                    "operator {} diverges on {}",
-                    compiled.id(),
-                    v.name
-                );
-            }
-        }
     }
 
     #[test]

@@ -161,19 +161,6 @@ impl Scanner {
             .expect("bundled odc-classic pack is valid")
     }
 
-    /// A scanner with a custom operator library (e.g. a single operator for
-    /// an ablation).
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `Scanner::builder().operator(..).build()` (typed errors, pack provenance)"
-    )]
-    pub fn with_operators(operators: Vec<Box<dyn MutationOperator>>) -> Scanner {
-        Scanner {
-            operators,
-            packs: Vec::new(),
-        }
-    }
-
     /// Number of operators in the library.
     pub fn operator_count(&self) -> usize {
         self.operators.len()
@@ -267,7 +254,7 @@ impl fmt::Debug for Scanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::MifsOp;
+    use crate::pack::classic_op;
     use crate::taxonomy::FaultType;
     use minic::compile;
 
@@ -321,7 +308,7 @@ mod tests {
     fn custom_operator_library() {
         let p = compile("os", SRC).unwrap();
         let s = Scanner::builder()
-            .operator(Box::new(MifsOp))
+            .operator(Box::new(classic_op("MIFS")))
             .build()
             .unwrap();
         assert_eq!(s.operator_count(), 1);
@@ -329,15 +316,6 @@ mod tests {
         assert!(fl.faults.iter().all(|f| f.fault_type == FaultType::Mifs));
         // No packs contributed, so no provenance is stamped.
         assert!(fl.packs.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn with_operators_shim_still_works() {
-        let p = compile("os", SRC).unwrap();
-        let s = Scanner::with_operators(vec![Box::new(MifsOp)]);
-        assert_eq!(s.operator_count(), 1);
-        assert!(!s.scan_image(p.image()).is_empty());
     }
 
     #[test]
@@ -359,7 +337,7 @@ mod tests {
         // A hand-written operator can collide with a pack operator too.
         let err = Scanner::builder()
             .classic()
-            .operator(Box::new(MifsOp))
+            .operator(Box::new(classic_op("MIFS")))
             .build()
             .unwrap_err();
         assert!(matches!(
@@ -391,7 +369,6 @@ mod tests {
 
     #[test]
     fn operator_set_hash_tracks_library_content_and_order() {
-        use crate::operators::{MfcOp, MviOp};
         let standard = Scanner::standard().operator_set_hash();
         assert_eq!(
             standard,
@@ -399,16 +376,16 @@ mod tests {
             "hash is deterministic"
         );
         let one = |op: Box<dyn MutationOperator>| Scanner::builder().operator(op).build().unwrap();
-        let single = one(Box::new(MifsOp)).operator_set_hash();
+        let single = one(Box::new(classic_op("MIFS"))).operator_set_hash();
         assert_ne!(standard, single);
         let ab = Scanner::builder()
-            .operator(Box::new(MviOp))
-            .operator(Box::new(MfcOp))
+            .operator(Box::new(classic_op("MVI")))
+            .operator(Box::new(classic_op("MFC")))
             .build()
             .unwrap();
         let ba = Scanner::builder()
-            .operator(Box::new(MfcOp))
-            .operator(Box::new(MviOp))
+            .operator(Box::new(classic_op("MFC")))
+            .operator(Box::new(classic_op("MVI")))
             .build()
             .unwrap();
         assert_ne!(ab.operator_set_hash(), ba.operator_set_hash());

@@ -28,7 +28,7 @@ use swfit_core::pack::PackRef;
 use swfit_core::{Faultload, InjectError, Injector};
 use webserver::{ServerKind, ServerState, WebServer};
 
-use crate::executor::{run_slots, run_slots_watched, SlotRun, SlotToken, SlotWatchdogConfig};
+use crate::executor::{run_slots, SlotRun, SlotToken, SlotWatchdogConfig};
 use crate::interval::{run_interval, IntervalConfig, WatchdogCounts};
 use crate::recovery::{AvailabilityMetrics, RecoveryPolicy};
 
@@ -749,11 +749,13 @@ impl Campaign {
         // Several slots, mirroring the slotted campaign structure (same
         // rest-interval recovery between slots as the injection campaign).
         const SLOTS: usize = 8;
-        let per_slot: Vec<IntervalMeasures> = run_slots(
+        let worklist: Vec<usize> = (0..SLOTS).collect();
+        let per_slot = run_slots(
             self.config.parallelism,
-            SLOTS,
+            &worklist,
+            None,
             || self.worker_stack(Injector::profile_mode()),
-            |stack, slot| {
+            |stack, slot, _token| {
                 stack.reset();
                 if injector_busy > SimDuration::ZERO {
                     // Profile-mode bookkeeping: a no-op inject/restore cycle.
@@ -782,11 +784,19 @@ impl Campaign {
                 stack.injector.restore(stack.os.image_mut());
                 out.measures
             },
+            |_, _| {},
         );
         // Fold in slot order so float accumulation matches at any
         // parallelism.
         let mut total: Option<IntervalMeasures> = None;
-        for measures in per_slot {
+        for (slot, run) in per_slot.into_iter().enumerate() {
+            // No fault is injected here, so a panic is a harness bug: it
+            // must surface, not be quarantined.
+            let measures = match run {
+                SlotRun::Done(measures) => measures,
+                SlotRun::Panicked(message) => panic!("fault-free slot {slot} panicked: {message}"),
+                SlotRun::TimedOut { .. } => unreachable!("fault-free slots run unwatched"),
+            };
             match &mut total {
                 Some(t) => t.merge(&measures),
                 None => total = Some(measures),
@@ -829,7 +839,7 @@ impl Campaign {
     /// `observe(slot, &outcome)` fires once per *newly executed* slot —
     /// completed or quarantined — in increasing slot order even under
     /// parallel work-stealing (see
-    /// [`crate::executor::run_slots_watched`]), which is exactly the
+    /// [`crate::executor::run_slots`]), which is exactly the
     /// record sequence an append-only journal needs.
     ///
     /// A panicking slot does not abort the campaign: the panic is caught,
@@ -897,7 +907,7 @@ impl Campaign {
         // can be dumped post-mortem. Completed slots deregister on the spot,
         // bounding the registry to the in-flight window.
         let tracers: Mutex<HashMap<usize, Tracer>> = Mutex::new(HashMap::new());
-        let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots_watched(
+        let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots(
             self.config.parallelism,
             &worklist,
             self.watchdog.as_ref(),

@@ -23,146 +23,29 @@
 //! server process, request generator — built once per worker; OS boots are
 //! cheap because `simos` caches the compiled image per edition.
 //!
-//! [`run_slots_observed`] additionally streams results to an observer **in
-//! slot order** as the completed prefix grows — the hook the persistent
-//! campaign journal (`faultstore`) uses to record progress crash-safely —
-//! and can start mid-range, which is how a resumed campaign executes only
-//! the slots its journal does not already hold.
+//! [`run_slots`] runs an explicit worklist of slot indices (a resumed
+//! campaign executes only the slots its journal does not already hold),
+//! isolates each slot's panics, optionally enforces a per-slot wall-clock
+//! watchdog, and streams results to an observer **in worklist order** as
+//! the completed prefix grows — the hook the persistent campaign journal
+//! (`faultstore`) uses to record progress crash-safely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Runs `slots` independent slots on up to `parallelism` worker threads and
-/// returns the per-slot outputs in slot order.
-///
-/// `make_worker` builds one worker's private state (it runs on the worker's
-/// own thread, so the state type needs no `Send`); `run_slot` executes one
-/// slot against that state. With `parallelism <= 1` (or a single slot)
-/// everything runs inline on the caller's thread — same code path, no
-/// spawning.
-///
-/// # Panics
-///
-/// Propagates panics from `make_worker` / `run_slot` after all workers have
-/// been joined.
-pub fn run_slots<T, R, MW, RS>(
-    parallelism: usize,
-    slots: usize,
-    make_worker: MW,
-    run_slot: RS,
-) -> Vec<R>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    R: Send,
-{
-    run_slots_observed(parallelism, 0, slots, make_worker, run_slot, |_, _| {})
-}
-
-/// Reorder buffer shared by the workers: results parked by slot index, plus
-/// the index of the first slot whose result has not yet been observed.
+/// Reorder buffer shared by the workers: results parked by worklist
+/// position, plus the first position whose result has not yet been
+/// observed.
 struct Reorder<R> {
-    /// `out[i - start]` holds slot `i`'s result once it finishes.
+    /// `out[pos]` holds worklist entry `pos`'s result once it finishes.
     out: Vec<Option<R>>,
-    /// Next slot index to hand to the observer (contiguous prefix bound).
+    /// Next worklist position to hand to the observer (contiguous prefix
+    /// bound).
     next: usize,
 }
 
-/// [`run_slots`] with a start offset and an ordered completion observer.
-///
-/// Executes slots `start..slots` (`start` of them are assumed already done
-/// by an earlier, interrupted run) and returns their outputs in slot order.
-/// `observe(i, &result)` is called exactly once per executed slot, **in
-/// increasing slot order** — the executor parks out-of-order completions in
-/// a reorder buffer and drains the contiguous prefix as it grows. The
-/// observer therefore sees exactly the records an append-only journal can
-/// replay after a crash: a gap-free prefix.
-///
-/// The observer runs under the reorder lock: keep it short (serialize +
-/// append + fsync is the intended use). It cannot see results out of order
-/// even when work-stealing completes slot 7 before slot 3.
-///
-/// # Panics
-///
-/// Propagates panics from `make_worker` / `run_slot` / `observe` after all
-/// workers have been joined.
-pub fn run_slots_observed<T, R, MW, RS, OB>(
-    parallelism: usize,
-    start: usize,
-    slots: usize,
-    make_worker: MW,
-    run_slot: RS,
-    observe: OB,
-) -> Vec<R>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    OB: Fn(usize, &R) + Sync,
-    R: Send,
-{
-    if start >= slots {
-        return Vec::new();
-    }
-    let remaining = slots - start;
-    let workers = parallelism.max(1).min(remaining);
-    if workers == 1 {
-        let mut state = make_worker();
-        return (start..slots)
-            .map(|i| {
-                let r = run_slot(&mut state, i);
-                observe(i, &r);
-                r
-            })
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(start);
-    let reorder = Mutex::new(Reorder {
-        out: (0..remaining).map(|_| None).collect(),
-        next: start,
-    });
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_worker();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots {
-                            break;
-                        }
-                        let r = run_slot(&mut state, i);
-                        let mut buf = reorder.lock().expect("reorder lock");
-                        buf.out[i - start] = Some(r);
-                        // Drain the contiguous completed prefix in order.
-                        while buf.next < slots {
-                            match buf.out[buf.next - start].as_ref() {
-                                Some(done) => {
-                                    observe(buf.next, done);
-                                    buf.next += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("campaign worker panicked");
-        }
-    });
-    let buf = reorder.into_inner().expect("reorder lock");
-    debug_assert_eq!(buf.next, slots, "observer saw every slot");
-    buf.out
-        .into_iter()
-        .map(|r| r.expect("every slot produced a result"))
-        .collect()
-}
-
-/// How one slot of a panic-isolated run ([`run_slots_quarantined`] /
-/// [`run_slots_watched`]) ended.
+/// How one slot of a [`run_slots`] run ended.
 #[derive(Clone, Debug)]
 pub enum SlotRun<R> {
     /// The slot ran to completion.
@@ -196,7 +79,7 @@ struct TokenInner {
 }
 
 /// A cooperative cancellation token handed to every slot run under
-/// [`run_slots_watched`].
+/// [`run_slots`].
 ///
 /// The watchdog cannot preempt a hung slot — the harness is a library, not
 /// an OS — so cancellation is cooperative: the monitor flips the token, and
@@ -238,7 +121,7 @@ impl SlotToken {
     /// # Panics
     ///
     /// Deliberately, when cancelled — the unwind is caught by
-    /// [`run_slots_watched`]'s guard and recorded as
+    /// [`run_slots`]' guard and recorded as
     /// [`SlotRun::TimedOut`], never propagated to the caller.
     #[inline]
     pub fn checkpoint(&self) {
@@ -263,7 +146,7 @@ impl SlotToken {
     }
 }
 
-/// Wall-clock budget policy for [`run_slots_watched`]'s per-slot watchdog.
+/// Wall-clock budget policy for [`run_slots`]' per-slot watchdog.
 ///
 /// The budget is *derived from observed slot times*: until a slot
 /// completes, `initial` applies; afterwards the budget is
@@ -331,57 +214,46 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`run_slots_observed`] hardened for pathological slots, over an explicit
-/// worklist: each `run_slot` call runs under `catch_unwind`, so one
-/// panicking slot is recorded as [`SlotRun::Panicked`] instead of killing
-/// the whole campaign and throwing every other slot's work away.
+/// Runs the slots named by `worklist` on up to `parallelism` worker
+/// threads and returns one [`SlotRun`] per worklist entry, in worklist
+/// order.
 ///
 /// `worklist` names the slot indices to execute (ascending for a resumed
-/// campaign: quarantined slots to re-attempt plus the un-run tail). Results
-/// come back in worklist order, and `observe` fires once per worklist entry
-/// in that same order (the reorder buffer of [`run_slots_observed`], keyed
-/// by worklist position).
+/// campaign: quarantined slots to re-attempt plus the un-run tail).
+/// `make_worker` builds one worker's private state (it runs on the
+/// worker's own thread, so the state type needs no `Send`); `run_slot`
+/// executes one slot against that state. `observe(slot, &run)` fires
+/// exactly once per worklist entry, **in worklist order**: workers park
+/// out-of-order completions in a reorder buffer and drain the contiguous
+/// prefix as it grows, so the observer sees exactly the records an
+/// append-only journal can replay after a crash — a gap-free prefix. The
+/// observer runs under the reorder lock: keep it short (serialize + append
+/// + fsync is the intended use).
 ///
-/// A panic poisons the worker's private state along with the slot: the
-/// state is dropped and `make_worker` builds a fresh one before the
-/// worker's next slot, so one quarantined slot cannot contaminate later
-/// ones. Panics from `make_worker` itself (or the observer) still
-/// propagate — a stack that cannot even be built is a campaign-level bug,
-/// not a per-slot outcome.
-pub fn run_slots_quarantined<T, R, MW, RS, OB>(
-    parallelism: usize,
-    worklist: &[usize],
-    make_worker: MW,
-    run_slot: RS,
-    observe: OB,
-) -> Vec<SlotRun<R>>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    OB: Fn(usize, &SlotRun<R>) + Sync,
-    R: Send,
-{
-    run_slots_watched(
-        parallelism,
-        worklist,
-        None,
-        make_worker,
-        |state, slot, _token| run_slot(state, slot),
-        observe,
-    )
-}
-
-/// [`run_slots_quarantined`] plus a per-slot wall-clock watchdog.
+/// Each `run_slot` call runs under `catch_unwind`, so one panicking slot
+/// is recorded as [`SlotRun::Panicked`] instead of killing the whole
+/// campaign and throwing every other slot's work away. A panic poisons the
+/// worker's private state along with the slot: the state is dropped and
+/// `make_worker` builds a fresh one before the worker's next slot, so one
+/// quarantined slot cannot contaminate later ones.
 ///
-/// When `watchdog` is `Some`, a monitor thread polls every in-flight slot's
-/// elapsed wall time against the budget the config derives from observed
-/// slot times, and cancels overdue slots through their [`SlotToken`]. A
-/// cancelled slot unwinds at its next checkpoint and is recorded as
-/// [`SlotRun::TimedOut`] — quarantined exactly like a panicking slot
-/// (worker state discarded and rebuilt), so a hung slot neither stalls the
-/// campaign nor contaminates later slots. With `watchdog = None`, tokens
-/// are inert and the behaviour is exactly [`run_slots_quarantined`]'s.
-pub fn run_slots_watched<T, R, MW, RS, OB>(
+/// When `watchdog` is `Some`, a monitor thread polls every in-flight
+/// slot's elapsed wall time against the budget the config derives from
+/// observed slot times, and cancels overdue slots through their
+/// [`SlotToken`]. A cancelled slot unwinds at its next checkpoint and is
+/// recorded as [`SlotRun::TimedOut`] — quarantined exactly like a
+/// panicking slot. With `watchdog = None`, tokens are inert.
+///
+/// A single worker with no watchdog runs everything inline on the
+/// caller's thread; otherwise the slots are work-stolen by scoped threads.
+///
+/// # Panics
+///
+/// Panics from `make_worker` or `observe` propagate — a stack that cannot
+/// even be built is a campaign-level bug, not a per-slot outcome. They are
+/// re-raised after every worker has been joined and the watchdog monitor
+/// stopped.
+pub fn run_slots<T, R, MW, RS, OB>(
     parallelism: usize,
     worklist: &[usize],
     watchdog: Option<&SlotWatchdogConfig>,
@@ -496,7 +368,9 @@ where
                             let elapsed_ms = started.elapsed().as_millis() as u64;
                             max_observed_ms.fetch_max(elapsed_ms, Ordering::Relaxed);
                         }
-                        let mut buf = reorder.lock().expect("reorder lock");
+                        // A poisoned buffer means another worker's observer
+                        // panicked; that panic is re-raised below, so stop.
+                        let Ok(mut buf) = reorder.lock() else { break };
                         buf.out[pos] = Some(r);
                         // Drain the contiguous completed prefix in order.
                         while buf.next < worklist.len() {
@@ -512,12 +386,21 @@ where
                 })
             })
             .collect();
+        // Join every worker before raising anything, and stop the monitor
+        // on every exit: a monitor left polling would keep the scope (and
+        // so the caller) waiting forever on a worker's panic.
+        let mut worker_panic = None;
         for h in handles {
-            h.join().expect("campaign worker panicked");
+            if let Err(payload) = h.join() {
+                worker_panic.get_or_insert(payload);
+            }
         }
         done.store(true, Ordering::SeqCst);
         if let Some(m) = monitor {
             m.join().expect("watchdog monitor panicked");
+        }
+        if let Some(payload) = worker_panic {
+            std::panic::resume_unwind(payload);
         }
     });
     let buf = reorder.into_inner().expect("reorder lock");
@@ -533,17 +416,38 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    fn upto(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
+    /// Unwraps a run in which every slot is expected to complete.
+    fn done<R: std::fmt::Debug>(runs: Vec<SlotRun<R>>) -> Vec<R> {
+        runs.into_iter()
+            .map(|r| match r {
+                SlotRun::Done(v) => v,
+                other => panic!("slot did not complete: {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn outputs_come_back_in_slot_order() {
         for parallelism in [1, 2, 4, 9] {
-            let out = run_slots(parallelism, 23, || (), |(), i| i * 3);
-            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
+            let out = run_slots(
+                parallelism,
+                &upto(23),
+                None,
+                || (),
+                |(), i, _| i * 3,
+                |_, _| {},
+            );
+            assert_eq!(done(out), (0..23).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_slots_is_fine() {
-        let out: Vec<usize> = run_slots(4, 0, || (), |(), i| i);
+        let out: Vec<SlotRun<usize>> = run_slots(4, &[], None, || (), |(), i, _| i, |_, _| {});
         assert!(out.is_empty());
     }
 
@@ -554,48 +458,60 @@ mod tests {
         let totals = Mutex::new(Vec::new());
         let out = run_slots(
             3,
-            50,
+            &upto(50),
+            None,
             || 0usize,
-            |count, i| {
+            |count, i, _| {
                 *count += 1;
                 totals.lock().unwrap().push(i);
                 i
             },
+            |_, _| {},
         );
-        assert_eq!(out, (0..50).collect::<Vec<_>>());
+        assert_eq!(done(out), upto(50));
         let mut seen = totals.into_inner().unwrap();
         seen.sort_unstable();
-        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        assert_eq!(seen, upto(50));
     }
 
     #[test]
     fn parallel_matches_sequential_for_seeded_work() {
         // The determinism contract at executor level: slot output depends
-        // only on the slot index (here via derive), not on worker identity.
-        let run = |parallelism| {
-            run_slots(
+        // only on the slot index (here via derive), not on worker identity
+        // or on whether a watchdog is armed.
+        let cfg = SlotWatchdogConfig::fixed(Duration::from_secs(60));
+        let run = |parallelism, watchdog| {
+            done(run_slots(
                 parallelism,
-                16,
+                &upto(16),
+                watchdog,
                 || (),
-                |(), i| simkit::SimRng::derive(99, &[0, i as u64]).next_u64(),
-            )
+                |(), i, _| simkit::SimRng::derive(99, &[0, i as u64]).next_u64(),
+                |_, _| {},
+            ))
         };
-        assert_eq!(run(1), run(4));
+        assert_eq!(run(1, None), run(4, None));
+        assert_eq!(run(1, None), run(2, Some(&cfg)));
     }
 
     #[test]
     fn observer_sees_every_slot_in_order() {
         for parallelism in [1, 2, 4, 7] {
             let seen = Mutex::new(Vec::new());
-            let out = run_slots_observed(
+            let out = run_slots(
                 parallelism,
-                0,
-                31,
+                &upto(31),
+                None,
                 || (),
-                |(), i| i * 2,
-                |i, r| seen.lock().unwrap().push((i, *r)),
+                |(), i, _| i * 2,
+                |i, r| {
+                    let SlotRun::Done(v) = r else {
+                        panic!("slot {i} did not complete")
+                    };
+                    seen.lock().unwrap().push((i, *v));
+                },
             );
-            assert_eq!(out, (0..31).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(done(out), (0..31).map(|i| i * 2).collect::<Vec<_>>());
             // In order, exactly once — never out of order, even when
             // work-stealing finishes later slots first.
             assert_eq!(
@@ -607,43 +523,57 @@ mod tests {
 
     #[test]
     fn start_offset_skips_completed_prefix() {
-        for parallelism in [1, 3] {
-            let seen = Mutex::new(Vec::new());
-            let out = run_slots_observed(
-                parallelism,
-                5,
-                12,
-                || (),
-                |(), i| i + 100,
-                |i, r| seen.lock().unwrap().push((i, *r)),
-            );
-            assert_eq!(out, (5..12).map(|i| i + 100).collect::<Vec<_>>());
-            assert_eq!(
-                seen.into_inner().unwrap(),
-                (5..12).map(|i| (i, i + 100)).collect::<Vec<_>>()
-            );
+        // A resumed campaign's worklist leaves out the journaled prefix
+        // (`5..12`), or holds quarantined slots to re-attempt plus the
+        // un-run tail (the gapped list). Results and observations follow
+        // the worklist, keyed by slot index.
+        let tail: Vec<usize> = (5..12).collect();
+        for worklist in [tail, vec![1, 4, 5, 9, 11]] {
+            for parallelism in [1, 3] {
+                let seen = Mutex::new(Vec::new());
+                let out = run_slots(
+                    parallelism,
+                    &worklist,
+                    None,
+                    || (),
+                    |(), i, _| i + 100,
+                    |i, _| seen.lock().unwrap().push(i),
+                );
+                assert_eq!(
+                    done(out),
+                    worklist.iter().map(|i| i + 100).collect::<Vec<_>>()
+                );
+                assert_eq!(seen.into_inner().unwrap(), worklist);
+            }
         }
     }
 
     #[test]
     fn start_at_or_past_the_end_runs_nothing() {
-        let out: Vec<usize> =
-            run_slots_observed(4, 9, 9, || (), |(), i| i, |_, _| panic!("no slots"));
-        assert!(out.is_empty());
-        let out: Vec<usize> =
-            run_slots_observed(4, 12, 9, || (), |(), i| i, |_, _| panic!("no slots"));
-        assert!(out.is_empty());
+        // A resume whose journal already holds every slot has an empty
+        // worklist: nothing is built, run or observed, watched or not.
+        let cfg = SlotWatchdogConfig::fixed(Duration::from_secs(60));
+        for watchdog in [None, Some(&cfg)] {
+            let out: Vec<SlotRun<usize>> = run_slots(
+                4,
+                &[],
+                watchdog,
+                || panic!("no workers"),
+                |(), i, _| i,
+                |_, _| panic!("no slots"),
+            );
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
     fn watchdog_kills_hung_slot_and_campaign_continues() {
         let cfg = SlotWatchdogConfig::fixed(Duration::from_millis(40));
         for parallelism in [1, 3] {
-            let worklist: Vec<usize> = (0..6).collect();
             let seen = Mutex::new(Vec::new());
-            let out = run_slots_watched(
+            let out = run_slots(
                 parallelism,
-                &worklist,
+                &upto(6),
                 Some(&cfg),
                 || (),
                 |(), slot, token: &SlotToken| {
@@ -686,7 +616,7 @@ mod tests {
     #[test]
     fn unwatched_tokens_are_inert_and_timeouts_do_not_ratchet_budget() {
         // watchdog = None: tokens never cancel, even for slow slots.
-        let out = run_slots_watched(
+        let out = run_slots(
             2,
             &[0, 1, 2],
             None,
@@ -698,8 +628,7 @@ mod tests {
             },
             |_, _| {},
         );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|r| matches!(r, SlotRun::Done(_))));
+        assert_eq!(done(out), vec![0, 1, 2]);
 
         // Budget derivation: with no completions the initial budget rules;
         // afterwards it scales from the longest completed slot, floored.
@@ -720,11 +649,12 @@ mod tests {
     #[test]
     fn panicking_slot_is_quarantined_not_fatal() {
         for parallelism in [1, 4] {
-            let out = run_slots_quarantined(
+            let out = run_slots(
                 parallelism,
                 &[0, 1, 2, 3],
+                None,
                 || (),
-                |(), slot| {
+                |(), slot, _| {
                     assert!(slot != 2, "slot 2 panics");
                     slot
                 },
@@ -736,6 +666,43 @@ mod tests {
                 if slot != 2 {
                     assert!(matches!(r, SlotRun::Done(v) if *v == slot));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_panics_propagate_with_the_watchdog_armed() {
+        // A panic outside the per-slot guard (building the worker, or the
+        // observer) must reach the caller even while the watchdog monitor
+        // runs — never leave it polling and the caller blocked. The call
+        // runs on a helper thread so a hang fails here instead of stalling
+        // the suite.
+        let cases: [(&str, bool); 2] = [("worker build fails", true), ("observer fails", false)];
+        for (message, in_make_worker) in cases {
+            for parallelism in [1, 2] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let cfg = SlotWatchdogConfig::fixed(Duration::from_secs(60));
+                    let outcome = std::panic::catch_unwind(|| {
+                        run_slots(
+                            parallelism,
+                            &[0, 1, 2, 3],
+                            Some(&cfg),
+                            || assert!(!in_make_worker, "{message}"),
+                            |(), slot, _| slot,
+                            |_, _| assert!(in_make_worker, "{message}"),
+                        )
+                    });
+                    let _ = tx.send(outcome.map_err(panic_message));
+                });
+                let outcome = rx
+                    .recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| panic!("`{message}` left run_slots blocked"));
+                let err = outcome.expect_err("the panic propagates to the caller");
+                assert!(
+                    err.contains(message),
+                    "the original panic is re-raised, got `{err}`"
+                );
             }
         }
     }

@@ -254,6 +254,13 @@ mod tests {
         dir
     }
 
+    /// A one-operator library: the classic pack narrowed to MIFS.
+    fn mifs_only() -> Scanner {
+        let mut pack = swfit_core::pack::classic().clone();
+        pack.operators.retain(|op| op.id == "MIFS");
+        Scanner::builder().pack(pack).build().unwrap()
+    }
+
     #[test]
     fn second_scan_is_a_cache_hit() {
         let dir = tmpdir("hit");
@@ -270,15 +277,11 @@ mod tests {
 
     #[test]
     fn operator_set_change_is_a_miss() {
-        use swfit_core::operators::MifsOp;
         let dir = tmpdir("ops");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        let single = Scanner::builder()
-            .operator(Box::new(MifsOp))
-            .build()
-            .unwrap();
+        let single = mifs_only();
         let narrowed = cache.scan_image(&single, p.image()).unwrap();
         assert_eq!(cache.scans(), 2, "different operator library must rescan");
         assert!(narrowed.len() < Scanner::standard().scan_image(p.image()).len());
@@ -363,15 +366,7 @@ mod tests {
         let p = compile("os", SRC).unwrap();
         let global = scan_count();
         a.scan_image(&Scanner::standard(), p.image()).unwrap();
-        a.clone()
-            .scan_image(
-                &Scanner::builder()
-                    .operator(Box::new(swfit_core::operators::MifsOp))
-                    .build()
-                    .unwrap(),
-                p.image(),
-            )
-            .unwrap();
+        a.clone().scan_image(&mifs_only(), p.image()).unwrap();
         assert_eq!(a.scans(), 2, "a clone counts into the same cache");
         assert_eq!(b.scans(), 0, "another cache's scans never move this one");
         assert!(

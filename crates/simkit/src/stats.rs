@@ -77,6 +77,16 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
+    /// Sample variance (`n − 1` denominator, the unbiased estimate a
+    /// confidence interval needs); `0.0` with fewer than two observations.
+    pub fn sample_variance(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            self.m2 / (self.n - 1) as f64
+        }
+    }
+
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

@@ -5,8 +5,6 @@
 //! bare means. This crate supplies the dispersion treatment those means
 //! need before two runs can be *compared*:
 //!
-//! * [`Welford`] — streaming mean/variance (Welford's online algorithm,
-//!   mergeable), the accumulator behind every interval here;
 //! * [`t_interval`] — a 95 % Student-t confidence interval for plain
 //!   per-iteration samples (SPCf, THRf, RTMf);
 //! * [`bootstrap_ratio_ci`] — a percentile-bootstrap 95 % CI for
@@ -15,6 +13,9 @@
 //!   iteration the same as a 10 000-request one;
 //! * [`ConvergenceConfig`] — the early-stop rule: keep running iterations
 //!   until every tier-1 metric's CI half-width falls below a target.
+//!
+//! Streaming moments come from [`simkit::OnlineStats`] (Welford's online
+//! algorithm, mergeable); intervals use its sample variance.
 //!
 //! # Determinism
 //!
@@ -27,7 +28,7 @@
 //! a journaled stop decision byte-identically.
 
 use serde::{Deserialize, Serialize};
-use simkit::SimRng;
+use simkit::{OnlineStats, SimRng};
 
 /// Base seed for bootstrap resampling. Callers offset it with a small
 /// per-metric tag (`BOOTSTRAP_SEED.wrapping_add(tag)`) so different
@@ -38,84 +39,6 @@ pub const BOOTSTRAP_SEED: u64 = 0x5EED_B007;
 /// Default number of bootstrap resamples. 200 keeps the percentile grid
 /// fine enough for a 95 % interval while staying cheap next to a campaign.
 pub const BOOTSTRAP_RESAMPLES: usize = 200;
-
-/// Streaming mean/variance via Welford's online algorithm.
-///
-/// Unlike `simkit::OnlineStats` (population variance, for workload
-/// telemetry) this accumulator reports the *sample* variance (`n − 1`
-/// denominator) — the unbiased estimate a confidence interval needs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// An accumulator over a whole slice.
-    pub fn from_samples(samples: &[f64]) -> Welford {
-        let mut w = Welford::new();
-        for &x in samples {
-            w.push(x);
-        }
-        w
-    }
-
-    /// Folds one sample in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merges another accumulator (Chan et al.'s parallel update), so
-    /// per-shard statistics combine exactly as one sequential pass would.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let delta = other.mean - self.mean;
-        let n = na + nb;
-        self.mean += delta * nb / n;
-        self.m2 += other.m2 + delta * delta * na * nb / n;
-        self.n += other.n;
-    }
-
-    /// Samples folded in so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (`n − 1` denominator; 0 with fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-}
 
 /// A symmetric 95 % confidence interval: `mean ± half_width`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -138,7 +61,7 @@ impl Ci {
     }
 
     /// Whether two intervals overlap. Non-overlapping 95 % intervals are
-    /// the report's CONFIRMED criterion; overlap is WITHIN-NOISE.
+    /// the report's CONFIRMED rule; overlap is WITHIN-NOISE.
     pub fn overlaps(&self, other: &Ci) -> bool {
         self.lo() <= other.hi() && other.lo() <= self.hi()
     }
@@ -165,17 +88,26 @@ pub fn t_critical_975(df: u64) -> f64 {
     }
 }
 
+/// Streaming moments over a whole slice.
+fn moments(samples: &[f64]) -> OnlineStats {
+    let mut w = OnlineStats::new();
+    for &x in samples {
+        w.push(x);
+    }
+    w
+}
+
 /// 95 % Student-t confidence interval over plain samples.
 ///
 /// `None` with fewer than 2 samples — one iteration carries no dispersion
 /// information, and pretending otherwise (an infinite interval) would
 /// poison serialized summaries.
 pub fn t_interval(samples: &[f64]) -> Option<Ci> {
-    let w = Welford::from_samples(samples);
+    let w = moments(samples);
     if w.count() < 2 {
         return None;
     }
-    let se = w.sample_stddev() / (w.count() as f64).sqrt();
+    let se = w.sample_variance().sqrt() / (w.count() as f64).sqrt();
     Some(Ci {
         mean: w.mean(),
         half_width: t_critical_975(w.count() - 1) * se,
@@ -284,7 +216,7 @@ mod tests {
     #[test]
     fn welford_matches_naive_two_pass() {
         let xs = [3.0, 7.0, 7.0, 19.0, 24.0, 4.5];
-        let w = Welford::from_samples(&xs);
+        let w = moments(&xs);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((w.mean() - mean).abs() < 1e-12);
@@ -295,18 +227,19 @@ mod tests {
     #[test]
     fn welford_merge_equals_sequential() {
         let xs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-        let all = Welford::from_samples(&xs);
-        let mut merged = Welford::from_samples(&xs[..3]);
-        merged.merge(&Welford::from_samples(&xs[3..]));
+        let all = moments(&xs);
+        let mut merged = moments(&xs[..3]);
+        merged.merge(&moments(&xs[3..]));
         assert!((merged.mean() - all.mean()).abs() < 1e-12);
         assert!((merged.sample_variance() - all.sample_variance()).abs() < 1e-9);
-        // Merging an empty accumulator is the identity, both ways.
-        let mut left = all;
-        left.merge(&Welford::new());
-        assert_eq!(left, all);
-        let mut right = Welford::new();
+        // Merging an empty accumulator is the identity, both ways (every
+        // field, compared through its Debug rendering).
+        let mut left = all.clone();
+        left.merge(&OnlineStats::new());
+        assert_eq!(format!("{left:?}"), format!("{all:?}"));
+        let mut right = OnlineStats::new();
         right.merge(&all);
-        assert_eq!(right, all);
+        assert_eq!(format!("{right:?}"), format!("{all:?}"));
     }
 
     #[test]

@@ -12,20 +12,21 @@
 //! Run with: `cargo run -p examples --bin custom_faultload`
 
 use simos::{Edition, Os, OsApi};
-use swfit_core::{
-    operators::{MiaOp, MlacOp, WlecOp},
-    FaultType, Scanner,
-};
+use swfit_core::{pack, FaultType, OdcClass, Scanner};
 
 fn main() {
     let os = Os::boot(Edition::NimbusXp).expect("OS boots");
 
     // 1. Checking-class operators only (MIA, MLAC, WLEC) — the ODC class
-    //    that models missing/wrong validation.
+    //    that models missing/wrong validation — as a filtered copy of the
+    //    bundled classic pack.
+    let mut checking = pack::classic().clone();
+    checking.name = "odc-checking".into();
+    checking
+        .operators
+        .retain(|op| op.fault_type.odc_class() == OdcClass::Checking);
     let scanner = Scanner::builder()
-        .operator(Box::new(MiaOp))
-        .operator(Box::new(MlacOp))
-        .operator(Box::new(WlecOp))
+        .pack(checking)
         .build()
         .expect("non-empty, distinct operator ids");
     println!("custom library: {} operators", scanner.operator_count());
